@@ -24,6 +24,9 @@ FSDM_THREADS=1 cargo test --workspace -q
 echo "== tests (full workspace, 4-way parallel executor) =="
 FSDM_THREADS=4 cargo test --workspace -q
 
+echo "== perfbench self-test (TEXT-vs-IMC and OSON-vs-REL result oracle, 200 docs) =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fsdm-planck (workload plan typecheck, zero-error budget) =="
 cargo run --release -p fsdm-bench --bin fsdm-planck -- --workload both --scale 1000 --json \
   > planck-report.json \

@@ -226,11 +226,13 @@ pub fn analyze_path(guide: &DataGuide, path: &JsonPath, cfg: &AnalyzerConfig) ->
                 Code::UnstreamablePath,
                 whole,
                 text,
-                "path is not streamable; TEXT storage falls back to DOM evaluation".to_string(),
+                "path is not streamable; TEXT storage streams the steps before the first \
+                 unstreamable one and runs the DOM engine on the captured subtree"
+                    .to_string(),
             )
             .with_help(
-                "only plain field steps and absolute array indexes stream (paper §5.1) — \
-                 or store the collection as OSON",
+                "only field steps, `[*]` and ascending absolute array indexes stream \
+                 (paper §5.1) — or store the collection as OSON",
             ),
         );
     }

@@ -47,7 +47,8 @@ pub enum Code {
     /// frequency threshold.
     LowFrequencyPath,
     /// FA006: the path fails `JsonPath::is_streamable`, so TEXT storage
-    /// falls back to DOM evaluation.
+    /// streams only the path's streamable prefix and runs the DOM engine
+    /// on the captured subtree.
     UnstreamablePath,
     /// FA007: a singleton-scalar path eligible for `add_vc` that is not
     /// materialized as a virtual column.

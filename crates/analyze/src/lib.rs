@@ -14,7 +14,7 @@
 //! | FA003 | dead-predicate     | filter constant-folds to true/false (warning)    |
 //! | FA004 | missing-array-step | array step shape hazards, lax and strict (warn)  |
 //! | FA005 | low-frequency-path | below the `add_vc` threshold (warning)           |
-//! | FA006 | unstreamable-path  | TEXT storage falls back to DOM (info)            |
+//! | FA006 | unstreamable-path  | TEXT streams the prefix, DOM for the rest (info) |
 //! | FA007 | vc-candidate       | `add_vc`-eligible but not materialized (info)    |
 //!
 //! FA001 doubles as the optimizer's proof obligation: when

@@ -18,9 +18,9 @@ fn bench_paths(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("path_eval");
     g.bench_function("text_streaming_simple", |b| {
-        b.iter(|| fsdm_sqljson::streaming::stream_values(black_box(&text), &simple).unwrap())
+        b.iter(|| fsdm_sqljson::streaming::eval_text(black_box(&text), &simple).unwrap())
     });
-    g.bench_function("text_dom_filtered", |b| {
+    g.bench_function("text_prefix_filtered", |b| {
         b.iter(|| fsdm_sqljson::streaming::eval_text(black_box(&text), &filtered).unwrap())
     });
     g.bench_function("oson_dom_simple", |b| {

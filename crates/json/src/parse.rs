@@ -28,8 +28,8 @@ pub fn parse_bytes(bytes: &[u8]) -> Result<JsonValue> {
     Ok(v)
 }
 
-/// Low-level parser state; exposed so the event parser can share scanning
-/// primitives.
+/// Low-level parser state; exposed so the streaming [`crate::Scanner`]
+/// can share scanning primitives.
 pub struct Parser<'a> {
     pub(crate) input: &'a [u8],
     pub(crate) pos: usize,
@@ -50,7 +50,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.input.get(self.pos).copied()
     }
 
@@ -95,7 +95,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn keyword(&mut self, kw: &[u8]) -> Result<()> {
+    pub(crate) fn keyword(&mut self, kw: &[u8]) -> Result<()> {
         if self.input[self.pos..].starts_with(kw) {
             self.pos += kw.len();
             Ok(())
@@ -185,54 +185,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .input
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| JsonError::at("unterminated escape", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0C),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'u' => {
-                            let cp = self.parse_hex4()?;
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                // high surrogate: require a following \uXXXX low surrogate
-                                if self.input.get(self.pos) == Some(&b'\\')
-                                    && self.input.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(JsonError::at(
-                                            "invalid low surrogate",
-                                            self.pos,
-                                        ));
-                                    }
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(c).ok_or_else(|| {
-                                        JsonError::at("bad surrogate pair", self.pos)
-                                    })?
-                                } else {
-                                    return Err(JsonError::at("lone high surrogate", self.pos));
-                                }
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(JsonError::at("lone low surrogate", self.pos));
-                            } else {
-                                char::from_u32(cp)
-                                    .ok_or_else(|| JsonError::at("bad code point", self.pos))?
-                            };
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                        }
-                        _ => return Err(JsonError::at("invalid escape", self.pos - 1)),
-                    }
+                    let ch = self.parse_escape()?;
+                    let mut buf = [0u8; 4];
+                    out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
                 }
                 Some(&c) if c < 0x20 => {
                     return Err(JsonError::at("unescaped control character", self.pos))
@@ -243,6 +198,47 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Decode one escape sequence; the cursor is just past the backslash.
+    pub(crate) fn parse_escape(&mut self) -> Result<char> {
+        let esc = self.peek().ok_or_else(|| JsonError::at("unterminated escape", self.pos))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{08}',
+            b'f' => '\u{0C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    // high surrogate: require a following \uXXXX low surrogate
+                    if self.input.get(self.pos) == Some(&b'\\')
+                        && self.input.get(self.pos + 1) == Some(&b'u')
+                    {
+                        self.pos += 2;
+                        let low = self.parse_hex4()?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return Err(JsonError::at("invalid low surrogate", self.pos));
+                        }
+                        let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                        char::from_u32(c)
+                            .ok_or_else(|| JsonError::at("bad surrogate pair", self.pos))?
+                    } else {
+                        return Err(JsonError::at("lone high surrogate", self.pos));
+                    }
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(JsonError::at("lone low surrogate", self.pos));
+                } else {
+                    char::from_u32(cp).ok_or_else(|| JsonError::at("bad code point", self.pos))?
+                }
+            }
+            _ => return Err(JsonError::at("invalid escape", self.pos - 1)),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32> {
@@ -267,6 +263,16 @@ impl<'a> Parser<'a> {
     /// Parse a numeric literal at the current position.
     pub(crate) fn parse_number(&mut self) -> Result<JsonNumber> {
         let start = self.pos;
+        self.scan_number()?;
+        let lit = std::str::from_utf8(&self.input[start..self.pos])
+            .expect("a scanned number literal is ASCII");
+        JsonNumber::from_literal(lit).map_err(|e| JsonError::at(e.message, start))
+    }
+
+    /// Validate and step over a numeric literal (RFC 8259 grammar).
+    /// Every literal the grammar accepts converts: `from_literal` falls
+    /// back to `f64` for decimals out of `OraNum` range.
+    pub(crate) fn scan_number(&mut self) -> Result<()> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
@@ -303,8 +309,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let lit = std::str::from_utf8(&self.input[start..self.pos]).unwrap();
-        JsonNumber::from_literal(lit).map_err(|e| JsonError::at(e.message, start))
+        Ok(())
     }
 }
 

@@ -1,8 +1,37 @@
 //! Property-based tests for the JSON substrate: text round-tripping,
-//! OraNum order preservation, and parser/event-stream agreement.
+//! OraNum order preservation, and parser/scanner agreement.
 
-use fsdm_json::{parse, to_string, Event, EventParser, JsonNumber, JsonValue, Object, OraNum};
+use fsdm_json::{parse, to_string, JsonNumber, JsonValue, Object, OraNum, Scanner};
 use proptest::prelude::*;
+
+/// Validate a whole document with the streaming scanner, skipping every
+/// value (what the text path engine does where no path step matches).
+fn scan(text: &str) -> fsdm_json::Result<()> {
+    let mut s = Scanner::new(text);
+    s.skip_value(0)?;
+    s.finish()
+}
+
+/// Bytes a mutation splices into a document: JSON's structural and
+/// literal characters, so most mutants stay close to well-formed.
+const MUTANT_BYTES: &[u8] = b"{}[],:\"\\ 0-.eEtnu";
+
+/// Apply `(offset, op, byte)` edits: insert, delete or overwrite one byte.
+fn mutate(text: &str, edits: &[(usize, usize, usize)]) -> String {
+    let mut b = text.as_bytes().to_vec();
+    for &(at, op, ch) in edits {
+        let at = at % (b.len() + 1);
+        let c = MUTANT_BYTES[ch % MUTANT_BYTES.len()];
+        match op {
+            1 if at < b.len() => {
+                b.remove(at);
+            }
+            2 if at < b.len() => b[at] = c,
+            _ => b.insert(at, c),
+        }
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
 
 /// Generator for arbitrary JSON values of bounded depth/size.
 fn arb_json() -> impl Strategy<Value = JsonValue> {
@@ -43,24 +72,24 @@ proptest! {
         prop_assert_eq!(back, v);
     }
 
-    /// The event stream is balanced and contains one scalar/Start event per
-    /// value node of the DOM.
+    /// The scanner accepts every serialized document, and parsing a
+    /// document through the scanner yields the DOM parser's value.
     #[test]
-    fn event_stream_agrees_with_dom(v in arb_json()) {
+    fn scanner_accepts_serialized_documents(v in arb_json()) {
         let text = to_string(&v);
-        let events = EventParser::new(&text).collect_events().unwrap();
-        let mut depth: i64 = 0;
-        let mut value_nodes = 0usize;
-        for e in &events {
-            match e {
-                Event::StartObject | Event::StartArray => { value_nodes += 1; depth += 1; }
-                Event::EndObject | Event::EndArray => { depth -= 1; prop_assert!(depth >= 0); }
-                Event::Key(_) => {}
-                _ => value_nodes += 1,
-            }
-        }
-        prop_assert_eq!(depth, 0);
-        prop_assert_eq!(value_nodes, v.node_count());
+        prop_assert!(scan(&text).is_ok(), "{}", text);
+        prop_assert_eq!(Scanner::new(&text).parse_value(0).unwrap(), v);
+    }
+
+    /// On mutated documents the scanner accepts exactly what `parse`
+    /// accepts.
+    #[test]
+    fn scanner_accepts_iff_parse_accepts(
+        v in arb_json(),
+        edits in prop::collection::vec((any::<usize>(), 0usize..3, any::<usize>()), 1..4),
+    ) {
+        let text = mutate(&to_string(&v), &edits);
+        prop_assert_eq!(scan(&text).is_ok(), parse(&text).is_ok(), "{}", text);
     }
 
     /// OraNum byte order equals numeric order over random i64 pairs.
@@ -116,16 +145,12 @@ proptest! {
         prop_assert_eq!(OraNum::from_bytes(n.as_bytes()).unwrap(), n);
     }
 
-    /// Parser never panics on arbitrary input bytes.
+    /// Parser and scanner never panic on arbitrary input bytes, and agree
+    /// on whether the input is a document.
     #[test]
     fn parser_total_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = fsdm_json::parse_bytes(&bytes);
-        let mut ev = EventParser::from_bytes(&bytes);
-        for _ in 0..10_000 {
-            match ev.next_event() {
-                Ok(Some(_)) => {}
-                _ => break,
-            }
-        }
+        let text = String::from_utf8_lossy(&bytes);
+        prop_assert_eq!(scan(&text).is_ok(), parse(&text).is_ok());
     }
 }

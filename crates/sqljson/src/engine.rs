@@ -334,10 +334,17 @@ fn apply_filter<D: JsonDom>(
     out
 }
 
-/// Evaluate a relative (`@`) path without look-back caching (filter paths
-/// are usually one or two steps; their per-document resolution cost is the
-/// hash binary search, which is already cheap).
-fn eval_rel_path<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step]) -> Vec<PathOutput> {
+/// Evaluate `steps` from `ctx` without look-back caching. Runs the
+/// relative (`@`) paths of filters — usually one or two steps, whose
+/// per-document resolution cost is the hash binary search, which is
+/// already cheap — and the rest of a path whose streamable prefix the
+/// text engine evaluated (see [`crate::streaming`]).
+pub fn eval_steps<D: JsonDom>(
+    dom: &D,
+    ctx: NodeRef,
+    steps: &[Step],
+    mode: Mode,
+) -> Vec<PathOutput> {
     let mut current = vec![ctx];
     for step in steps {
         match step {
@@ -350,7 +357,7 @@ fn eval_rel_path<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step]) -> Vec<PathO
                                 next.push(c);
                             }
                         }
-                        NodeKind::Array => {
+                        NodeKind::Array if mode == Mode::Lax => {
                             for i in 0..dom.array_len(n) {
                                 let e = dom.array_element(n, i);
                                 if dom.kind(e) == NodeKind::Object {
@@ -365,10 +372,10 @@ fn eval_rel_path<D: JsonDom>(dom: &D, ctx: NodeRef, steps: &[Step]) -> Vec<PathO
                 }
                 current = next;
             }
-            Step::FieldWildcard => current = apply_field_wildcard(dom, &current, Mode::Lax),
-            Step::ArrayWildcard => current = apply_array_wildcard(dom, &current, Mode::Lax),
-            Step::Array(sels) => current = apply_array_sel(dom, &current, sels, Mode::Lax),
-            Step::Filter(p) => current = apply_filter(dom, &current, p, Mode::Lax),
+            Step::FieldWildcard => current = apply_field_wildcard(dom, &current, mode),
+            Step::ArrayWildcard => current = apply_array_wildcard(dom, &current, mode),
+            Step::Array(sels) => current = apply_array_sel(dom, &current, sels, mode),
+            Step::Filter(p) => current = apply_filter(dom, &current, p, mode),
             Step::Method(m) => {
                 return current
                     .iter()
@@ -389,7 +396,7 @@ fn eval_pred<D: JsonDom>(dom: &D, ctx: NodeRef, pred: &Predicate) -> bool {
         Predicate::And(a, b) => eval_pred(dom, ctx, a) && eval_pred(dom, ctx, b),
         Predicate::Or(a, b) => eval_pred(dom, ctx, a) || eval_pred(dom, ctx, b),
         Predicate::Not(p) => !eval_pred(dom, ctx, p),
-        Predicate::Exists(steps) => !eval_rel_path(dom, ctx, steps).is_empty(),
+        Predicate::Exists(steps) => !eval_steps(dom, ctx, steps, Mode::Lax).is_empty(),
         Predicate::Cmp(lhs, op, rhs) => {
             let lv = operand_scalars(dom, ctx, lhs);
             let rv = operand_scalars(dom, ctx, rhs);
@@ -403,7 +410,7 @@ fn eval_pred<D: JsonDom>(dom: &D, ctx: NodeRef, pred: &Predicate) -> bool {
 fn operand_scalars<D: JsonDom>(dom: &D, ctx: NodeRef, op: &Operand) -> Vec<JsonValue> {
     match op {
         Operand::Lit(v) => vec![v.clone()],
-        Operand::Path(steps) => eval_rel_path(dom, ctx, steps)
+        Operand::Path(steps) => eval_steps(dom, ctx, steps, Mode::Lax)
             .into_iter()
             .filter_map(|o| match o {
                 PathOutput::Node(n) => match dom.kind(n) {

@@ -9,9 +9,10 @@
 //!   tree, a serialized OSON instance (jump navigation), or a BSON buffer
 //!   (skip navigation). It carries the cross-instance field-id look-back
 //!   cache.
-//! * [`streaming`] — the streaming engine over text parse events, used for
-//!   simple paths on textual storage; complex operators fall back to a
-//!   DOM, exactly the trade-off §5.1 describes.
+//! * [`streaming`] — the streaming engine over JSON text: one validating
+//!   pass that parses only the values a path reaches; complex operators
+//!   stream the path's prefix and run the DOM engine on the captured
+//!   subtrees, the trade-off §5.1 describes.
 //! * [`ops`] — `JSON_VALUE`, `JSON_QUERY`, `JSON_EXISTS` with RETURNING
 //!   types and ON ERROR semantics.
 //! * [`json_table`] — the `JSON_TABLE()` virtual-table row source with

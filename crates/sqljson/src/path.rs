@@ -313,21 +313,26 @@ impl JsonPath {
     }
 
     /// True when every step is a plain field/array step — the class the
-    /// streaming engine can evaluate without building a DOM (§5.1).
-    /// `last`-relative selectors need the array length up front, so they
-    /// are excluded.
+    /// streaming engine evaluates without building a DOM (§5.1).
     pub fn is_streamable(&self) -> bool {
-        self.steps.iter().all(|s| match s {
-            Step::Field { .. } | Step::ArrayWildcard => true,
-            Step::Array(sels) => sels.iter().all(|x| {
-                matches!(
-                    x,
-                    ArraySel::Index(IndexExpr::At(_))
-                        | ArraySel::Range(IndexExpr::At(_), IndexExpr::At(_))
-                )
-            }),
-            _ => false,
-        })
+        self.streamable_prefix_len() == self.steps.len()
+    }
+
+    /// Number of leading steps the streaming engine can evaluate: field
+    /// steps, `[*]`, and array selectors with absolute indexes in
+    /// ascending, non-overlapping order. `last`-relative selectors need
+    /// the array length up front; out-of-order or overlapping selectors
+    /// yield items out of document order (or twice), which a single pass
+    /// cannot reproduce.
+    pub fn streamable_prefix_len(&self) -> usize {
+        self.steps
+            .iter()
+            .take_while(|s| match s {
+                Step::Field { .. } | Step::ArrayWildcard => true,
+                Step::Array(sels) => ascending_absolute(sels),
+                _ => false,
+            })
+            .count()
     }
 
     /// Field names referenced by top-level steps, in order (used by the
@@ -341,6 +346,22 @@ impl JsonPath {
             })
             .collect()
     }
+}
+
+/// True when every selector is an absolute index or non-empty range and
+/// each starts after the previous one ends.
+fn ascending_absolute(sels: &[ArraySel]) -> bool {
+    let mut next = 0;
+    sels.iter().all(|s| {
+        let (lo, hi) = match *s {
+            ArraySel::Index(IndexExpr::At(i)) => (i, i),
+            ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) if a <= b => (a, b),
+            _ => return false,
+        };
+        let ok = lo >= next;
+        next = hi.saturating_add(1);
+        ok
+    })
 }
 
 impl fmt::Display for JsonPath {
@@ -777,6 +798,22 @@ mod tests {
     fn parses_modes() {
         assert_eq!(parse_path("strict $.a").unwrap().mode, Mode::Strict);
         assert_eq!(parse_path("lax $.a").unwrap().mode, Mode::Lax);
+    }
+
+    #[test]
+    fn streamable_prefix_stops_at_the_first_unstreamable_step() {
+        let len = |p: &str| parse_path(p).unwrap().streamable_prefix_len();
+        assert_eq!(len("$.a.b[*][0 to 2, 4]"), 4);
+        assert_eq!(len("$.items[*]?(@.price > 1).name"), 2);
+        assert_eq!(len("$.items[last].name"), 1);
+        assert_eq!(len("$.*.a"), 0);
+        assert_eq!(len("$.a.size()"), 1);
+        // out of order, overlapping or empty selectors do not stream
+        assert_eq!(len("$.a[1, 0]"), 1);
+        assert_eq!(len("$.a[0 to 2, 2]"), 1);
+        assert_eq!(len("$.a[0, 0]"), 1);
+        assert_eq!(len("$.a[3 to 1]"), 1);
+        assert!(parse_path("$.a[0, 2 to 3, 5]").unwrap().is_streamable());
     }
 
     #[test]

@@ -1,358 +1,207 @@
-//! The streaming path engine over text parse events (§5.1).
+//! The streaming path engine over JSON text (§5.1).
 //!
-//! For *simple* paths — chains of field steps, array index selectors and
-//! array wildcards — SQL/JSON operators on textual JSON are evaluated in
-//! one pass over the event stream without materializing a DOM. Complex
-//! operators (filters, `last`, item methods, JSON_TABLE) "require the
-//! engine to memorize event sequences, in effect partially or completely
-//! negating the benefit of avoiding DOM construction" — those fall back to
-//! parsing the document into a DOM and running the [`crate::engine`]
-//! evaluator, exactly the trade-off the paper describes.
+//! A path is evaluated in one pass over the text by a recursive matcher
+//! driven over a borrowed [`Scanner`]. Object keys are compared as raw
+//! bytes against the step name; every value the path cannot reach is
+//! validated and skipped without allocating; only the values the path
+//! selects are parsed into [`JsonValue`]s. The pass validates the whole
+//! document, so evaluation fails exactly when [`fsdm_json::parse`]
+//! fails (an existence test alone stops at the first match).
+//!
+//! Field steps, `[*]` and ascending absolute array selectors stream, with
+//! lax implicit wrapping and unwrapping (or none, in strict mode).
+//! Complex operators — filters, `last`, item methods, field wildcards —
+//! "require the engine to memorize event sequences". For those paths the
+//! matcher streams the longest streamable prefix
+//! ([`JsonPath::streamable_prefix_len`]) and the DOM engine runs the
+//! rest of the path on each captured subtree only. That is exact: each
+//! DOM step maps every item on its own, and filter operands are
+//! `@`-relative, so nothing outside a captured subtree is ever consulted.
 
-use fsdm_json::{Event, EventParser, JsonError, JsonValue, Object, ValueDom};
+use fsdm_json::{JsonDom, JsonError, JsonValue, Scanner, ValueDom, MAX_DEPTH};
 
-use crate::engine::PathEvaluator;
-use crate::path::{ArraySel, IndexExpr, JsonPath, Step};
+use crate::engine::{eval_steps, PathOutput};
+use crate::path::{ArraySel, IndexExpr, JsonPath, Mode, Step};
 
-/// Evaluate a path over JSON text. Uses the streaming engine when the path
-/// is streamable; otherwise parses a DOM and runs the DOM engine.
+/// Evaluate a path over JSON text, materializing every match in the
+/// order the DOM engine yields them.
 pub fn eval_text(text: &str, path: &JsonPath) -> Result<Vec<JsonValue>, JsonError> {
-    if path.is_streamable() {
-        stream_values(text, path)
-    } else {
-        let v = fsdm_json::parse(text)?;
-        let dom = ValueDom::new(&v);
-        let mut ev = PathEvaluator::new(path.clone());
-        Ok(ev.evaluate_values(&dom))
+    let (prefix, rest) = path.steps.split_at(path.streamable_prefix_len());
+    let captured = stream(text, prefix, path.mode, false)?.values;
+    if rest.is_empty() {
+        return Ok(captured);
     }
+    let _span = dom_engine_span();
+    let mut out = Vec::new();
+    for v in &captured {
+        let dom = ValueDom::new(v);
+        out.extend(eval_steps(&dom, dom.root(), rest, path.mode).into_iter().map(|o| match o {
+            PathOutput::Node(n) => dom.materialize(n),
+            PathOutput::Computed(v) => v,
+        }));
+    }
+    Ok(out)
 }
 
-/// Existence test over JSON text, short-circuiting on the first match when
-/// streaming applies.
+/// Existence test over JSON text. A streamable path stops at its first
+/// match without reading the rest of the document.
 pub fn exists_text(text: &str, path: &JsonPath) -> Result<bool, JsonError> {
-    if path.is_streamable() {
-        stream_exists(text, path)
-    } else {
-        let v = fsdm_json::parse(text)?;
-        let dom = ValueDom::new(&v);
-        let mut ev = PathEvaluator::new(path.clone());
-        Ok(ev.exists(&dom))
+    let (prefix, rest) = path.steps.split_at(path.streamable_prefix_len());
+    if rest.is_empty() {
+        return Ok(stream(text, prefix, path.mode, true)?.found);
     }
+    let captured = stream(text, prefix, path.mode, false)?.values;
+    let _span = dom_engine_span();
+    Ok(captured.iter().any(|v| {
+        let dom = ValueDom::new(v);
+        !eval_steps(&dom, dom.root(), rest, path.mode).is_empty()
+    }))
 }
 
-/// Streaming evaluation of a streamable path, materializing every match.
-pub fn stream_values(text: &str, path: &JsonPath) -> Result<Vec<JsonValue>, JsonError> {
-    debug_assert!(path.is_streamable());
-    let mut m = Matcher::new(path, false);
-    m.run(text)?;
-    Ok(m.results)
+/// Trace the DOM engine's share of a text evaluation (the rest of the
+/// path over the captured subtrees) as a `sqljson.eval` span. The
+/// `sqljson.eval.*` counters stay with [`crate::PathEvaluator`], which
+/// this route does not use.
+fn dom_engine_span() -> fsdm_obs::trace::SpanGuard {
+    fsdm_obs::trace::span(fsdm_obs::catalog::SPAN_SQLJSON_EVAL)
 }
 
-/// Streaming existence test: stops at the first match.
-pub fn stream_exists(text: &str, path: &JsonPath) -> Result<bool, JsonError> {
-    debug_assert!(path.is_streamable());
-    let mut m = Matcher::new(path, true);
-    m.run(text)?;
-    Ok(m.found)
+/// Run the matcher for streamable `steps` over `text`.
+fn stream<'p>(
+    text: &str,
+    steps: &'p [Step],
+    mode: Mode,
+    exists_only: bool,
+) -> Result<Matcher<'p>, JsonError> {
+    let mut m =
+        Matcher { steps, lax: mode == Mode::Lax, exists_only, values: Vec::new(), found: false };
+    let mut sc = Scanner::new(text);
+    m.value(&mut sc, 0, 0, false)?;
+    if !m.done() {
+        sc.finish()?;
+    }
+    Ok(m)
 }
 
-/// A pending step index plus whether it was already carried through one
-/// lax array unwrap. Lax mode unwraps a single array level per field step
-/// (ISO SQL/JSON; matching the DOM engine), so a field step that already
-/// crossed into an array's elements must not cross into a nested array.
-type Pos = (usize, bool);
-
-/// Positions are indices into `path.steps`; a value holding position
-/// `len(steps)` is a match.
+/// One streaming evaluation: the steps still to apply are identified by
+/// their index into `steps`; a value reached with index `steps.len()` is
+/// a match.
 struct Matcher<'p> {
     steps: &'p [Step],
+    lax: bool,
     exists_only: bool,
-    results: Vec<JsonValue>,
+    values: Vec<JsonValue>,
     found: bool,
-    /// Stack frame per open container.
-    frames: Vec<Frame>,
-    /// In-flight capture builders (rarely more than one).
-    builders: Vec<Builder>,
 }
 
-struct Frame {
-    /// True for arrays (drives element indexing), false for objects.
-    is_array: bool,
-    /// Positions applicable to values directly inside this container.
-    /// For objects these are filtered per key at each `Key` event.
-    positions: Vec<Pos>,
-    /// Positions for the *next* value inside an object (set by `Key`).
-    value_positions: Vec<Pos>,
-    /// Next element index (arrays).
-    next_index: usize,
-}
+impl Matcher<'_> {
+    /// An existence test is decided by its first match.
+    fn done(&self) -> bool {
+        self.exists_only && self.found
+    }
 
-impl<'p> Matcher<'p> {
-    fn new(path: &'p JsonPath, exists_only: bool) -> Self {
-        Matcher {
-            steps: &path.steps,
-            exists_only,
-            results: Vec::new(),
-            found: false,
-            frames: Vec::new(),
-            builders: Vec::new(),
+    /// Apply `steps[i..]` to the value at the cursor, `depth` containers
+    /// deep. `unwrapped` marks an array element a field step reached by
+    /// lax unwrapping: the step applies to it if it is an object, and
+    /// never unwraps a second array level (as in the DOM engine).
+    fn value(
+        &mut self,
+        sc: &mut Scanner<'_>,
+        depth: usize,
+        i: usize,
+        unwrapped: bool,
+    ) -> Result<(), JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(JsonError::new("maximum nesting depth exceeded"));
+        }
+        let Some(step) = self.steps.get(i) else {
+            self.found = true;
+            if !self.exists_only {
+                self.values.push(sc.parse_value(depth)?);
+            }
+            return Ok(());
+        };
+        let next = sc.peek();
+        match step {
+            Step::Field { name, .. } if next == Some(b'{') => self.object(sc, depth, i, name),
+            Step::Field { .. } if next == Some(b'[') && self.lax && !unwrapped => {
+                self.array(sc, depth, i)
+            }
+            Step::ArrayWildcard | Step::Array(_) if next == Some(b'[') => self.array(sc, depth, i),
+            // lax wrap: a non-array is the one-element array [value]
+            Step::ArrayWildcard if self.lax => self.value(sc, depth, i + 1, false),
+            Step::Array(sels) if self.lax && selects(sels, 0) => {
+                self.value(sc, depth, i + 1, false)
+            }
+            _ => sc.skip_value(depth),
         }
     }
 
-    fn run(&mut self, text: &str) -> Result<(), JsonError> {
-        let mut parser = EventParser::new(text);
-        // the root value carries position 0
-        let mut pending: Vec<Pos> = vec![(0, false)];
-        while let Some(event) = parser.next_event()? {
-            if self.exists_only && self.found {
-                // drain the parser cheaply to validate the document? No —
-                // exists can return immediately; the caller only needed a
-                // verdict on well-formed prefixes.
-                return Ok(());
+    /// Field step `steps[i]` over the object at the cursor. Only the
+    /// first member with the name is followed, as in every DOM backend.
+    fn object(
+        &mut self,
+        sc: &mut Scanner<'_>,
+        depth: usize,
+        i: usize,
+        name: &str,
+    ) -> Result<(), JsonError> {
+        let mut followed = false;
+        let mut more = sc.object_start()?;
+        while more {
+            let key = sc.key()?;
+            if !followed && key.is(name) {
+                followed = true;
+                self.value(sc, depth + 1, i + 1, false)?;
+                if self.done() {
+                    return Ok(());
+                }
+            } else {
+                sc.skip_value(depth + 1)?;
             }
-            match event {
-                Event::Key(k) => {
-                    // the event parser only emits keys inside an open object
-                    let Some(frame) = self.frames.last_mut() else {
-                        debug_assert!(false, "key event outside any container");
-                        continue;
-                    };
-                    let mut next = Vec::new();
-                    for &(p, _) in &frame.positions {
-                        if let Some(Step::Field { name, .. }) = self.steps.get(p) {
-                            if name == &k {
-                                next.push((p + 1, false));
-                            }
-                        }
-                    }
-                    frame.value_positions = next;
-                    for b in &mut self.builders {
-                        b.key(k.clone());
-                    }
-                }
-                Event::StartObject | Event::StartArray => {
-                    let is_array = matches!(event, Event::StartArray);
-                    let positions = self.value_positions(&mut pending, is_array);
-                    // feed the container start to builders already open
-                    // *before* opening a capture rooted at this container
-                    for b in &mut self.builders {
-                        b.start_container(is_array);
-                    }
-                    self.begin_value_captures(&positions, is_array);
-                    // positions that apply to the container's *children*:
-                    let child_positions = if is_array {
-                        let mut cp = Vec::new();
-                        for &(p, unwrapped) in &positions {
-                            match self.steps.get(p) {
-                                Some(Step::ArrayWildcard) | Some(Step::Array(_)) => {
-                                    cp.push((p, unwrapped))
-                                }
-                                // lax implicit unwrap: a field step over an
-                                // array applies to its (object) elements —
-                                // one level only, so a position that already
-                                // crossed an array does not cross another
-                                Some(Step::Field { .. }) if !unwrapped => cp.push((p, true)),
-                                _ => {}
-                            }
-                        }
-                        cp
-                    } else {
-                        positions.clone()
-                    };
-                    self.frames.push(Frame {
-                        is_array,
-                        positions: child_positions,
-                        value_positions: Vec::new(),
-                        next_index: 0,
-                    });
-                }
-                Event::EndObject | Event::EndArray => {
-                    self.frames.pop();
-                    let mut finished = Vec::new();
-                    for (i, b) in self.builders.iter_mut().enumerate() {
-                        if b.end_container() {
-                            finished.push(i);
-                        }
-                    }
-                    // pop finished builders (outermost may finish only after
-                    // inner ones; indices are removed back-to-front)
-                    for &i in finished.iter().rev() {
-                        let b = self.builders.remove(i);
-                        self.results.push(b.into_value());
-                    }
-                }
-                scalar => {
-                    let positions = self.value_positions(&mut pending, false);
-                    let v = scalar_value(&scalar);
-                    let is_match = positions.iter().any(|&(p, _)| p == self.steps.len());
-                    if is_match {
-                        self.found = true;
-                        if !self.exists_only {
-                            self.results.push(v.clone());
-                        }
-                    }
-                    for b in &mut self.builders {
-                        b.scalar(v.clone());
-                    }
-                }
-            }
+            more = sc.object_next()?;
         }
         Ok(())
     }
 
-    /// Positions applicable to the value that is starting now, including
-    /// lax array-wrapping expansion (an array step applied to a non-array
-    /// selects the value itself when index 0 is in the selector).
-    fn value_positions(&mut self, pending: &mut Vec<Pos>, value_is_array: bool) -> Vec<Pos> {
-        let mut positions = match self.frames.last_mut() {
-            None => std::mem::take(pending),
-            Some(f) if f.is_array => {
-                let idx = f.next_index;
-                f.next_index += 1;
-                let mut out = Vec::new();
-                for &(p, unwrapped) in &f.positions {
-                    match self.steps.get(p) {
-                        Some(Step::ArrayWildcard) => out.push((p + 1, false)),
-                        Some(Step::Array(sels)) if sels.iter().any(|s| sel_matches(s, idx)) => {
-                            out.push((p + 1, false))
-                        }
-                        // lax unwrap: the element re-tries the field step
-                        Some(Step::Field { .. }) => out.push((p, unwrapped)),
-                        _ => {}
-                    }
+    /// Step `steps[i]` over the array at the cursor: array steps select
+    /// elements; a field step unwraps (lax) to the elements.
+    fn array(&mut self, sc: &mut Scanner<'_>, depth: usize, i: usize) -> Result<(), JsonError> {
+        let mut idx = 0;
+        let mut more = sc.array_start()?;
+        while more {
+            match self.steps.get(i) {
+                Some(Step::Field { .. }) => self.value(sc, depth + 1, i, true)?,
+                Some(Step::ArrayWildcard) => self.value(sc, depth + 1, i + 1, false)?,
+                Some(Step::Array(sels)) if selects(sels, idx) => {
+                    self.value(sc, depth + 1, i + 1, false)?
                 }
-                out
+                _ => sc.skip_value(depth + 1)?,
             }
-            Some(f) => std::mem::take(&mut f.value_positions),
-        };
-        if !value_is_array {
-            // lax wrap: array steps treat a non-array as [value]
-            let mut i = 0;
-            while let Some(&(p, _)) = positions.get(i) {
-                let wrap = match self.steps.get(p) {
-                    Some(Step::ArrayWildcard) => true,
-                    Some(Step::Array(sels)) => sels.iter().any(|s| sel_matches(s, 0)),
-                    _ => false,
-                };
-                if wrap && !positions.iter().any(|q| q.0 == p + 1) {
-                    positions.push((p + 1, false));
-                }
-                i += 1;
+            if self.done() {
+                return Ok(());
             }
+            idx += 1;
+            more = sc.array_next()?;
         }
-        positions.sort_unstable();
-        positions.dedup();
-        positions
-    }
-
-    fn begin_value_captures(&mut self, positions: &[Pos], is_array: bool) {
-        if positions.iter().any(|&(p, _)| p == self.steps.len()) {
-            self.found = true;
-            if !self.exists_only {
-                self.builders.push(Builder::new_container(is_array));
-            }
-        }
+        Ok(())
     }
 }
 
-fn sel_matches(sel: &ArraySel, idx: usize) -> bool {
-    match sel {
+/// True when a selector (absolute, as [`JsonPath::streamable_prefix_len`]
+/// guarantees) covers element `idx`.
+fn selects(sels: &[ArraySel], idx: usize) -> bool {
+    sels.iter().any(|s| match s {
         ArraySel::Index(IndexExpr::At(i)) => *i == idx,
-        ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) => idx >= *a && idx <= *b,
-        // `last` selectors are rejected by is_streamable
+        ArraySel::Range(IndexExpr::At(a), IndexExpr::At(b)) => (*a..=*b).contains(&idx),
         _ => false,
-    }
-}
-
-fn scalar_value(e: &Event) -> JsonValue {
-    match e {
-        Event::String(s) => JsonValue::String(s.clone()),
-        Event::Number(n) => JsonValue::Number(*n),
-        Event::Bool(b) => JsonValue::Bool(*b),
-        Event::Null => JsonValue::Null,
-        _ => {
-            // `run` only routes scalar events here
-            debug_assert!(false, "container event in scalar position");
-            JsonValue::Null
-        }
-    }
-}
-
-/// Incremental DOM builder fed by the event stream while a capture is
-/// open. Tracks its own depth; `end_container` returns true when the
-/// captured subtree is complete.
-struct Builder {
-    stack: Vec<JsonValue>,
-    keys: Vec<Option<String>>,
-    pending_key: Option<String>,
-    done: Option<JsonValue>,
-}
-
-impl Builder {
-    fn new_container(is_array: bool) -> Self {
-        let root =
-            if is_array { JsonValue::Array(Vec::new()) } else { JsonValue::Object(Object::new()) };
-        Builder { stack: vec![root], keys: vec![None], pending_key: None, done: None }
-    }
-
-    fn key(&mut self, k: String) {
-        self.pending_key = Some(k);
-    }
-
-    fn start_container(&mut self, is_array: bool) {
-        let v =
-            if is_array { JsonValue::Array(Vec::new()) } else { JsonValue::Object(Object::new()) };
-        self.keys.push(self.pending_key.take());
-        self.stack.push(v);
-    }
-
-    fn scalar(&mut self, v: JsonValue) {
-        let key = self.pending_key.take();
-        self.attach(key, v);
-    }
-
-    /// Returns true when the capture root has closed.
-    fn end_container(&mut self) -> bool {
-        let Some(v) = self.stack.pop() else {
-            // a builder is removed as soon as its root closes, so every
-            // end event delivered here has a matching open container
-            debug_assert!(false, "end event on a finished builder");
-            return true;
-        };
-        let key = self.keys.pop().flatten();
-        if self.stack.is_empty() {
-            self.done = Some(v);
-            true
-        } else {
-            self.attach(key, v);
-            false
-        }
-    }
-
-    fn attach(&mut self, key: Option<String>, v: JsonValue) {
-        match self.stack.last_mut() {
-            Some(JsonValue::Array(a)) => a.push(v),
-            Some(JsonValue::Object(o)) => {
-                if let Some(k) = key {
-                    o.push(k, v);
-                } else {
-                    // the parser emits a key before every object member
-                    debug_assert!(false, "object member without a key");
-                }
-            }
-            _ => debug_assert!(false, "attach without an open container"),
-        }
-    }
-
-    fn into_value(self) -> JsonValue {
-        debug_assert!(self.done.is_some(), "capture root has not closed");
-        self.done.unwrap_or(JsonValue::Null)
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PathEvaluator;
     use crate::path::parse_path;
     use fsdm_json::parse;
 
@@ -364,7 +213,13 @@ mod tests {
     fn stream(doc: &str, path: &str) -> Vec<JsonValue> {
         let p = parse_path(path).unwrap();
         assert!(p.is_streamable(), "{path} must be streamable");
-        stream_values(doc, &p).unwrap()
+        eval_text(doc, &p).unwrap()
+    }
+
+    fn via_dom(doc: &str, path: &str) -> Vec<JsonValue> {
+        let v = parse(doc).unwrap();
+        let dom = ValueDom::new(&v);
+        PathEvaluator::new(parse_path(path).unwrap()).evaluate_values(&dom)
     }
 
     #[test]
@@ -387,6 +242,8 @@ mod tests {
     #[test]
     fn lax_unwrap_in_stream() {
         assert_eq!(stream(PO, "$.purchaseOrder.items.name").len(), 3);
+        // one array level only
+        assert!(stream(r#"{"a":[[{"b":1}]]}"#, "$.a.b").is_empty());
     }
 
     #[test]
@@ -394,6 +251,15 @@ mod tests {
         assert_eq!(stream(PO, "$.purchaseOrder.id[0]"), vec![parse("1").unwrap()]);
         assert_eq!(stream(PO, "$.purchaseOrder.id[*]"), vec![parse("1").unwrap()]);
         assert!(stream(PO, "$.purchaseOrder.id[1]").is_empty());
+    }
+
+    #[test]
+    fn strict_mode_neither_wraps_nor_unwraps() {
+        let doc = r#"{"items":[{"p":1},{"p":2}],"s":5}"#;
+        for path in ["strict $.items.p", "strict $.s[0]", "strict $.s[*]", "strict $.items[*].p"] {
+            assert_eq!(stream(doc, path), via_dom(doc, path), "{path}");
+        }
+        assert!(stream(doc, "strict $.items.p").is_empty());
     }
 
     #[test]
@@ -405,9 +271,12 @@ mod tests {
     #[test]
     fn exists_short_circuits() {
         let p = parse_path("$.purchaseOrder.items[*].price").unwrap();
-        assert!(stream_exists(PO, &p).unwrap());
+        assert!(exists_text(PO, &p).unwrap());
         let p2 = parse_path("$.zz").unwrap();
-        assert!(!stream_exists(PO, &p2).unwrap());
+        assert!(!exists_text(PO, &p2).unwrap());
+        // the first match decides; the rest of the text is not read
+        assert!(exists_text(r#"{"a":1,"b":"#, &parse_path("$.a").unwrap()).unwrap());
+        assert!(exists_text(r#"{"a":1,"b""#, &parse_path("$.b").unwrap()).is_err());
     }
 
     #[test]
@@ -419,37 +288,60 @@ mod tests {
             "$.purchaseOrder.items[1 to 2].name",
             "$.purchaseOrder.items.quantity",
             "$.purchaseOrder.id[0]",
+            // prefix route: streamed prefix, DOM rest
+            "$.purchaseOrder.items[*]?(@.price > 100).name",
+            "$.purchaseOrder.items[last].name",
+            "$.purchaseOrder.items[2, 0].name",
+            "$.purchaseOrder.items.size()",
+            "$.purchaseOrder.*",
         ];
-        let v = parse(PO).unwrap();
         for p in paths {
-            let jp = parse_path(p).unwrap();
-            let streamed = stream_values(PO, &jp).unwrap();
-            let dom = ValueDom::new(&v);
-            let mut ev = PathEvaluator::new(jp.clone());
-            let via_dom = ev.evaluate_values(&dom);
-            assert_eq!(streamed.len(), via_dom.len(), "{p}");
-            for (a, b) in streamed.iter().zip(&via_dom) {
+            let text = eval_text(PO, &parse_path(p).unwrap()).unwrap();
+            let dom = via_dom(PO, p);
+            assert_eq!(text.len(), dom.len(), "{p}");
+            for (a, b) in text.iter().zip(&dom) {
                 assert!(a.eq_unordered(b), "{p}: {a} vs {b}");
             }
         }
     }
 
     #[test]
-    fn eval_text_falls_back_for_filters() {
+    fn eval_text_streams_the_prefix_of_filter_paths() {
         let p = parse_path("$.purchaseOrder.items[*]?(@.price > 100).name").unwrap();
         assert!(!p.is_streamable());
+        assert_eq!(p.streamable_prefix_len(), 3);
         let r = eval_text(PO, &p).unwrap();
         assert_eq!(r, vec![parse("\"ipad\"").unwrap()]);
         assert!(exists_text(PO, &p).unwrap());
+        let none = parse_path("$.purchaseOrder.items[*]?(@.price > 1000)").unwrap();
+        assert!(!exists_text(PO, &none).unwrap());
     }
 
     #[test]
     fn nested_capture_regions() {
         // the array itself and one of its elements both match
         let doc = r#"{"a":[[5],[6]]}"#;
-        let p = parse_path("$.a[*]").unwrap();
-        let r = stream_values(doc, &p).unwrap();
+        let r = stream(doc, "$.a[*]");
         assert_eq!(r.len(), 2);
         assert_eq!(r[0], parse("[5]").unwrap());
+    }
+
+    #[test]
+    fn duplicate_keys_follow_the_first_member() {
+        let doc = r#"{"a":1,"a":2}"#;
+        assert_eq!(stream(doc, "$.a"), vec![parse("1").unwrap()]);
+        assert_eq!(stream(doc, "$.a"), via_dom(doc, "$.a"));
+        // escaped keys are decoded before comparing
+        assert_eq!(stream(r#"{"\u0061":3}"#, "$.a"), vec![parse("3").unwrap()]);
+    }
+
+    #[test]
+    fn rejects_what_parse_rejects() {
+        let p = parse_path("$").unwrap();
+        for bad in ["[{},]", "[[],]", "{\"a\":[{}, ]}", "{\"a\":1,\"a\":}", "[1] 2", ""] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+            assert!(eval_text(bad, &p).is_err(), "$ on {bad:?}");
+            assert!(eval_text(bad, &parse_path("$.zz").unwrap()).is_err(), "$.zz on {bad:?}");
+        }
     }
 }

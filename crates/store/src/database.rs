@@ -1401,6 +1401,23 @@ mod tests {
     }
 
     #[test]
+    fn between_over_text_returns_the_oson_rows() {
+        // the planner lowers BETWEEN to two clones of one JSON_VALUE, which
+        // share a path slot: TEXT reads each row's document once
+        let price = Expr::json_value(1, parse_path("$.items[0].price").unwrap(), SqlType::Number);
+        let q = Query::scan("po")
+            .filter(Expr::And(
+                Box::new(Expr::cmp(price.clone(), CmpOp::Ge, Expr::Lit(Datum::from(50i64)))),
+                Box::new(Expr::cmp(price.clone(), CmpOp::Le, Expr::Lit(Datum::from(400i64)))),
+            ))
+            .project(vec![("did", Expr::Col(0)), ("price", price)]);
+        let text = sample_db(JsonStorage::Text).execute(&q).unwrap();
+        let oson = sample_db(JsonStorage::Oson).execute(&q).unwrap();
+        assert_eq!(text.rows.len(), 2);
+        assert_eq!(text.rows, oson.rows);
+    }
+
+    #[test]
     fn json_table_lateral_expansion() {
         let db = sample_db(JsonStorage::Oson);
         let q =

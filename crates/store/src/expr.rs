@@ -4,8 +4,8 @@
 //! Expression trees are **immutable and `Send + Sync`**: the SQL/JSON
 //! operators carry only their compiled [`JsonPath`] (behind an `Arc`, so
 //! clones share it). All mutable evaluation state — the per-path
-//! [`PathEvaluator`] cursors with their §4.2.1 look-back caches, and the
-//! JSON_TABLE cursors — lives in an [`EvalScratch`] that each executor
+//! [`PathSlot`]s with their §4.2.1 look-back caches, and the JSON_TABLE
+//! cursors — lives in an [`EvalScratch`] that each executor
 //! worker owns and passes by `&mut`. That split is what lets one plan tree
 //! be shared across morsel workers (see [`crate::parallel`]).
 
@@ -14,22 +14,24 @@ use std::sync::Arc;
 
 use fsdm_sqljson::json_table::{JsonTableCursor, JsonTableDef};
 use fsdm_sqljson::path::JsonPath;
-use fsdm_sqljson::{Datum, PathEvaluator, SqlType};
+use fsdm_sqljson::{Datum, SqlType};
 
 use crate::imc::ColumnVector;
+use crate::jsonaccess::PathSlot;
 use crate::table::{Cell, Row, StoreError};
 use crate::vector::{cmp_tri, PredKernel, Tri, ValKernel};
 
-/// Per-worker evaluation state: reusable path evaluators keyed by the
-/// shared compiled path, and JSON_TABLE cursors keyed by definition.
-/// Both caches exist so the look-back field-id caches persist across the
-/// rows a worker processes — exactly the state the expression tree itself
-/// used to hold in `RefCell`s before the executor went parallel.
+/// Per-worker evaluation state: reusable path slots keyed by the shared
+/// compiled path, and JSON_TABLE cursors keyed by definition. Both caches
+/// exist so the look-back field-id caches (and a path slot's last TEXT
+/// result) persist across the rows a worker processes — exactly the
+/// state the expression tree itself used to hold in `RefCell`s before the
+/// executor went parallel.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// One evaluator per distinct compiled path (keyed by `Arc` address:
-    /// expression clones share the path, hence the evaluator).
-    evaluators: HashMap<usize, PathEvaluator>,
+    /// One slot per distinct compiled path (keyed by `Arc` address:
+    /// expression clones share the path, hence the slot).
+    paths: HashMap<usize, PathSlot>,
     /// One cursor per JSON_TABLE definition (keyed by address; the
     /// definition outlives the execution it is scanned by).
     cursors: HashMap<usize, JsonTableCursor>,
@@ -41,11 +43,11 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// The reusable evaluator for `path`, created on first use.
-    pub(crate) fn evaluator(&mut self, path: &Arc<JsonPath>) -> &mut PathEvaluator {
-        self.evaluators
+    /// The reusable slot for `path`, created on first use.
+    pub(crate) fn path_slot(&mut self, path: &Arc<JsonPath>) -> &mut PathSlot {
+        self.paths
             .entry(Arc::as_ptr(path) as usize)
-            .or_insert_with(|| PathEvaluator::new((**path).clone()))
+            .or_insert_with(|| PathSlot::new((**path).clone()))
     }
 
     /// The reusable JSON_TABLE cursor for `def`, created on first use.
@@ -277,13 +279,13 @@ impl Expr {
             }
             Expr::Fun(fun, args) => eval_fun(*fun, args, row, scratch)?,
             Expr::JsonValue { col, path, ty } => match row.get(*col) {
-                Some(Cell::J(j)) => j.json_value(scratch.evaluator(path), *ty),
+                Some(Cell::J(j)) => j.json_value(scratch.path_slot(path), *ty),
                 Some(Cell::D(_)) | None => {
                     return Err(StoreError::new("JSON_VALUE on non-JSON column"))
                 }
             },
             Expr::JsonExists { col, path } => match row.get(*col) {
-                Some(Cell::J(j)) => Datum::Bool(j.json_exists(scratch.evaluator(path))),
+                Some(Cell::J(j)) => Datum::Bool(j.json_exists(scratch.path_slot(path).evaluator())),
                 Some(Cell::D(_)) | None => {
                     return Err(StoreError::new("JSON_EXISTS on non-JSON column"))
                 }
@@ -790,13 +792,13 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(jv.eval_with(&r, &mut scratch).unwrap(), Datum::from(99.5));
         }
-        // the clone shares the compiled path, hence the evaluator slot
+        // the clone shares the compiled path, hence the slot
         let jv2 = jv.clone();
         assert_eq!(jv2.eval_with(&r, &mut scratch).unwrap(), Datum::from(99.5));
-        assert_eq!(scratch.evaluators.len(), 1, "one evaluator per distinct path");
+        assert_eq!(scratch.paths.len(), 1, "one slot per distinct path");
         // a distinct path gets its own slot
         let other = Expr::json_value(2, parse_path("$.id").unwrap(), SqlType::Number);
         other.eval_with(&r, &mut scratch).unwrap();
-        assert_eq!(scratch.evaluators.len(), 2);
+        assert_eq!(scratch.paths.len(), 2);
     }
 }

@@ -8,12 +8,41 @@
 //! paper that "hide the underlying physical data storage model
 //! differences".
 
+use std::sync::Arc;
+
 use fsdm_json::{JsonValue, ValueDom};
 use fsdm_sqljson::json_table::{JsonTableCursor, JsonTableDef};
 use fsdm_sqljson::ops::{json_value, OnError};
-use fsdm_sqljson::{Datum, PathEvaluator, SqlType};
+use fsdm_sqljson::{Datum, JsonPath, PathEvaluator, SqlType};
 
 use crate::table::StoreError;
+
+/// Per-worker evaluation state of one compiled path: the DOM engine's
+/// cursor with its look-back cache, and the last TEXT `JSON_VALUE`
+/// result. Expression clones share the path and hence the slot, so the
+/// planner's two copies of the `JSON_VALUE` in a `BETWEEN` read a row's
+/// text once.
+pub struct PathSlot {
+    ev: PathEvaluator,
+    /// The document the last TEXT `JSON_VALUE` read, its RETURNING type
+    /// and its result. The slot holds a clone of the cell's `Arc`, which
+    /// keeps that allocation alive: no other document can be allocated at
+    /// its address while it is remembered, so pointer equality identifies
+    /// the same document.
+    last_text: Option<(Arc<str>, SqlType, Datum)>,
+}
+
+impl PathSlot {
+    /// A fresh slot for `path`.
+    pub fn new(path: JsonPath) -> PathSlot {
+        PathSlot { ev: PathEvaluator::new(path), last_text: None }
+    }
+
+    /// The path's DOM-engine cursor.
+    pub fn evaluator(&mut self) -> &mut PathEvaluator {
+        &mut self.ev
+    }
+}
 
 /// Physical storage of a JSON column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,23 +117,32 @@ impl JsonCell {
     }
 
     /// `JSON_VALUE` against this cell, paying each format's native access
-    /// cost (text: parse / stream; BSON: sequential scan; OSON: jump).
-    pub fn json_value(&self, ev: &mut PathEvaluator, ty: SqlType) -> Datum {
+    /// cost (text: one streaming pass; BSON: sequential scan; OSON:
+    /// jump). A TEXT cell read by the same slot just before is not read
+    /// again.
+    pub fn json_value(&self, slot: &mut PathSlot, ty: SqlType) -> Datum {
         match self {
             JsonCell::Text(s) => {
-                // §5.1: streaming for simple paths, DOM otherwise — both
-                // pay the text parse
-                match fsdm_sqljson::streaming::eval_text(s, ev.path()) {
+                if let Some((doc, t, d)) = &slot.last_text {
+                    if Arc::ptr_eq(doc, s) && *t == ty {
+                        return d.clone();
+                    }
+                }
+                // §5.1: one streaming pass; paths with filters stream
+                // their prefix and run the DOM engine on what it captured
+                let d = match fsdm_sqljson::streaming::eval_text(s, slot.ev.path()) {
                     Ok(values) => single_scalar(values, ty),
                     Err(_) => Datum::Null,
-                }
+                };
+                slot.last_text = Some((Arc::clone(s), ty, d.clone()));
+                d
             }
             JsonCell::Bson(b) => match fsdm_bson::BsonDoc::new(b) {
-                Ok(doc) => json_value(&doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
+                Ok(doc) => json_value(&doc, &mut slot.ev, ty, OnError::Null).unwrap_or(Datum::Null),
                 Err(_) => Datum::Null,
             },
             JsonCell::Oson(b) => match fsdm_oson::OsonDoc::new(b) {
-                Ok(doc) => json_value(&doc, ev, ty, OnError::Null).unwrap_or(Datum::Null),
+                Ok(doc) => json_value(&doc, &mut slot.ev, ty, OnError::Null).unwrap_or(Datum::Null),
                 Err(_) => Datum::Null,
             },
         }
@@ -182,8 +220,8 @@ mod tests {
     #[test]
     fn json_value_agrees_across_storages() {
         for cell in cells() {
-            let mut ev = PathEvaluator::new(parse_path("$.po.id").unwrap());
-            assert_eq!(cell.json_value(&mut ev, SqlType::Number), Datum::from(4i64));
+            let mut slot = PathSlot::new(parse_path("$.po.id").unwrap());
+            assert_eq!(cell.json_value(&mut slot, SqlType::Number), Datum::from(4i64));
         }
     }
 
@@ -211,11 +249,44 @@ mod tests {
         assert!(sizes.iter().all(|&s| s > 0));
     }
 
+    fn remembered(slot: &PathSlot) -> Option<&Arc<str>> {
+        slot.last_text.as_ref().map(|(doc, _, _)| doc)
+    }
+
+    #[test]
+    fn equal_text_in_distinct_cells_is_evaluated_per_cell() {
+        let (a, b): (Arc<str>, Arc<str>) = (Arc::from(DOC), Arc::from(DOC));
+        let (ca, cb) = (JsonCell::Text(a.clone()), JsonCell::Text(b.clone()));
+        let mut slot = PathSlot::new(parse_path("$.po.id").unwrap());
+        assert_eq!(ca.json_value(&mut slot, SqlType::Number), Datum::from(4i64));
+        assert!(Arc::ptr_eq(remembered(&slot).unwrap(), &a));
+        // equal text, distinct allocation: evaluated, not served from `a`
+        assert_eq!(cb.json_value(&mut slot, SqlType::Number), Datum::from(4i64));
+        assert!(Arc::ptr_eq(remembered(&slot).unwrap(), &b));
+        // the same cell again is served from the slot
+        assert_eq!(cb.json_value(&mut slot, SqlType::Number), Datum::from(4i64));
+        assert!(Arc::ptr_eq(remembered(&slot).unwrap(), &b));
+        // another RETURNING type is evaluated again
+        assert_eq!(cb.json_value(&mut slot, SqlType::Varchar2(8)), Datum::from("4"));
+    }
+
+    #[test]
+    fn a_dropped_and_reallocated_cell_never_reads_a_stale_result() {
+        let mut slot = PathSlot::new(parse_path("$.po.id").unwrap());
+        for i in 0..200i64 {
+            // a fresh allocation of the same size each time: the allocator
+            // would hand back the freed block if the slot did not hold it
+            let cell = JsonCell::Text(Arc::from(format!(r#"{{"po":{{"id":{:>3}}}}}"#, i)));
+            assert_eq!(cell.json_value(&mut slot, SqlType::Number), Datum::from(i));
+            drop(cell);
+        }
+    }
+
     #[test]
     fn multi_match_json_value_is_null() {
         for cell in cells() {
-            let mut ev = PathEvaluator::new(parse_path("$.po.items[*].p").unwrap());
-            assert!(cell.json_value(&mut ev, SqlType::Number).is_null());
+            let mut slot = PathSlot::new(parse_path("$.po.items[*].p").unwrap());
+            assert!(cell.json_value(&mut slot, SqlType::Number).is_null());
         }
     }
 }

@@ -40,7 +40,7 @@ pub use database::Database;
 pub use expr::{AggFun, CmpOp, EvalScratch, Expr, ScalarFun};
 pub use govern::{CancelHandle, CancelToken, QueryGovernor, ROWS_PER_CHECK};
 pub use imc::{ColumnVector, ImcStore, VectorSlot};
-pub use jsonaccess::{JsonCell, JsonStorage};
+pub use jsonaccess::{JsonCell, JsonStorage, PathSlot};
 pub use parallel::{
     default_degree, morsels, run_morsels, ExecContext, ParStats, RowRange, DEFAULT_MORSEL_ROWS,
 };

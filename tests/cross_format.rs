@@ -131,3 +131,95 @@ fn search_index_agrees_with_path_engine() {
     assert_eq!(via_index, via_engine);
     assert!(via_index.contains(&7));
 }
+
+#[test]
+fn duplicate_keys_take_the_first_member_on_every_storage() {
+    use fsdm::sqljson::{Datum, SqlType};
+    use fsdm::store::{JsonCell, JsonStorage, PathSlot};
+    let doc = fsdm::json::parse(r#"{"a":1,"a":2}"#).unwrap();
+    let jp = parse_path("$.a").unwrap();
+    for storage in [JsonStorage::Text, JsonStorage::Bson, JsonStorage::Oson] {
+        let cell = JsonCell::encode(&doc, storage).unwrap();
+        let mut slot = PathSlot::new(jp.clone());
+        assert_eq!(cell.json_value(&mut slot, SqlType::Number), Datum::from(1i64), "{storage:?}");
+    }
+    let via_text = fsdm::sqljson::streaming::eval_text(r#"{"a":1,"a":2}"#, &jp).unwrap();
+    assert_eq!(via_text, vec![fsdm::json::parse("1").unwrap()]);
+}
+
+/// Bytes spliced into documents by the mutation test: JSON's structural
+/// and literal characters, so most mutants stay close to well-formed.
+const MUTANT_BYTES: &[u8] = b"{}[],:\"\\ 0-.eEtnu";
+
+/// Insert, delete or overwrite one to three bytes of `text`.
+fn mutate(text: &str, rng: &mut impl rand::Rng) -> String {
+    let mut b = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let at = rng.gen_range(0..b.len() + 1);
+        let c = MUTANT_BYTES[rng.gen_range(0..MUTANT_BYTES.len())];
+        match rng.gen_range(0..3u32) {
+            1 if at < b.len() => {
+                b.remove(at);
+            }
+            2 if at < b.len() => b[at] = c,
+            _ => b.insert(at, c),
+        }
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+#[test]
+fn text_engine_agrees_with_parse_on_mutated_documents() {
+    let nobench_paths = [
+        "$.str1",
+        "$.num",
+        "$.nested_obj.str",
+        "$.sparse_110",
+        "$.nested_arr[*]",
+        "$.nested_arr?(@ starts with \"a\")",
+        "$.thousandth",
+    ];
+    let po_paths = [
+        "$.purchaseOrder.reference",
+        "$.purchaseOrder.items[*].partno",
+        "$.purchaseOrder.items.quantity",
+        "$.purchaseOrder.items[0 to 1].unitprice",
+        "$.purchaseOrder.items[*]?(@.quantity > 10).itemno",
+        "$.purchaseOrder.items[last]",
+    ];
+    let mut rng = rng_for("text-engine-mutants", 12);
+    let nobench: Vec<String> = (0..60)
+        .map(|i| fsdm::json::to_string(&fsdm_workloads::nobench::doc(&mut rng, i)))
+        .collect();
+    let po: Vec<String> =
+        corpus(Collection::PurchaseOrder, 30).iter().map(fsdm::json::to_string).collect();
+    let (mut parsed, mut rejected) = (0, 0);
+    for (docs, paths) in [(&nobench, &nobench_paths[..]), (&po, &po_paths[..])] {
+        let compiled: Vec<_> = paths.iter().map(|p| parse_path(p).unwrap()).collect();
+        for doc in docs {
+            for text in std::iter::once(doc.clone()).chain((0..20).map(|_| mutate(doc, &mut rng))) {
+                let dom_value = fsdm::json::parse(&text);
+                match &dom_value {
+                    Ok(_) => parsed += 1,
+                    Err(_) => rejected += 1,
+                }
+                for (p, jp) in paths.iter().zip(&compiled) {
+                    let via_text = fsdm::sqljson::streaming::eval_text(&text, jp);
+                    let exists = fsdm::sqljson::streaming::exists_text(&text, jp);
+                    let Ok(v) = &dom_value else {
+                        assert!(via_text.is_err(), "{p} accepted malformed {text}");
+                        // an existence test may stop at its first match
+                        assert!(!matches!(exists, Ok(false)), "{p} exists on malformed {text}");
+                        continue;
+                    };
+                    let dom = ValueDom::new(v);
+                    let expected = PathEvaluator::new(jp.clone()).evaluate_values(&dom);
+                    assert_eq!(via_text.unwrap(), expected, "{p} on {text}");
+                    assert_eq!(exists.unwrap(), !expected.is_empty(), "{p} exists on {text}");
+                }
+            }
+        }
+    }
+    // the mutants exercise both sides of the accept/reject boundary
+    assert!(parsed > 200 && rejected > 500, "parsed {parsed}, rejected {rejected}");
+}
