@@ -349,8 +349,8 @@ pub fn add_nobench_columnar_vcs(session: &mut Session) {
     let t = session.db.table_mut("nobench").unwrap();
     if t.scan_col_index("nbq$str1").is_none() {
         // the planner's default RETURNING is Varchar2(4000); the VC
-        // definitions must match its Debug rendering verbatim or the
-        // substitution pass won't recognize them
+        // definitions must equal its expressions (RETURNING type
+        // included) or the substitution pass won't recognize them
         let vc = SqlType::Varchar2(4000);
         t.add_virtual_column("nbq$str1", Expr::json_value(1, p("$.str1"), vc));
         t.add_virtual_column("nbq$num", Expr::json_value(1, p("$.num"), SqlType::Number));

@@ -86,15 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn typecheck_counts_into_the_planck_metrics() {
-        let s = session();
-        let snap = |name: &str| fsdm_obs::snapshot().counters.get(name).copied().unwrap_or(0);
-        let before = snap(fsdm_obs::catalog::PLANCK_CHECKS);
-        s.typecheck("SELECT did FROM po").unwrap();
-        assert_eq!(snap(fsdm_obs::catalog::PLANCK_CHECKS), before + 1);
-    }
-
-    #[test]
     fn non_planning_statements_error() {
         let s = session();
         assert!(s.typecheck("CREATE TABLE x (a NUMBER)").is_err());

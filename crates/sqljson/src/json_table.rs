@@ -36,7 +36,7 @@ pub enum ColKind {
 }
 
 /// One output column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     /// Column name in the produced row.
     pub name: String,
@@ -67,7 +67,7 @@ impl ColumnDef {
 }
 
 /// A NESTED PATH block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestedDef {
     /// Row path relative to the parent row node.
     pub path: JsonPath,
@@ -78,7 +78,7 @@ pub struct NestedDef {
 }
 
 /// A complete JSON_TABLE definition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JsonTableDef {
     /// Root row path (evaluated against the document root).
     pub row_path: JsonPath,

@@ -126,8 +126,9 @@ pub enum AggFun {
     Max,
 }
 
-/// A row expression tree.
-#[derive(Clone)]
+/// A row expression tree. Equality is structural: JSON operators compare
+/// their compiled paths, literals compare as [`Datum`]s.
+#[derive(Clone, PartialEq)]
 pub enum Expr {
     /// Column reference by position in the input row.
     Col(usize),

@@ -10,7 +10,7 @@ use fsdm_sqljson::Datum;
 use crate::expr::{AggFun, Expr};
 
 /// Sort key: expression + direction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SortKey {
     /// Key expression over the input row.
     pub expr: Expr,
@@ -31,7 +31,7 @@ impl SortKey {
 }
 
 /// Window functions (the subset used by the paper's Q6).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WindowFun {
     /// `LAG(expr, offset, default) OVER (ORDER BY …)`.
     Lag {
@@ -45,7 +45,7 @@ pub enum WindowFun {
 }
 
 /// An aggregate output: name, function, argument (None for `COUNT(*)`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
     /// Output column name.
     pub name: String,
@@ -59,7 +59,7 @@ pub struct AggSpec {
 // plan nodes are built once per query, not per row, so the size skew
 // between variants (JsonTable carries a whole column-def tree) is moot
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Query {
     /// Scan a base table (emits base columns then virtual columns; applies
     /// the OSON-IMC substitution transparently when populated).

@@ -273,16 +273,12 @@ fn order_keys_pin(keys: &[SortKey]) -> bool {
     if keys.is_empty() {
         return false;
     }
-    let mut seen: Vec<String> = Vec::with_capacity(keys.len());
+    let mut seen: Vec<&Expr> = Vec::with_capacity(keys.len());
     for k in keys {
-        if matches!(k.expr, Expr::Lit(_)) {
+        if matches!(k.expr, Expr::Lit(_)) || seen.contains(&&k.expr) {
             return false;
         }
-        let text = format!("{:?}", k.expr);
-        if seen.contains(&text) {
-            return false;
-        }
-        seen.push(text);
+        seen.push(&k.expr);
     }
     true
 }
@@ -336,7 +332,7 @@ pub fn check_plan(db: &Database, plan: &Query) -> Inference {
         inf.diagnostics.push(node_diag(Code::RewriteDivergence, plan, v));
     }
     let twice = crate::optimizer::optimize(db, optimized.clone());
-    if format!("{twice:?}") != format!("{optimized:?}") {
+    if twice != optimized {
         inf.diagnostics.push(node_diag(
             Code::RewriteDivergence,
             plan,
@@ -615,7 +611,7 @@ fn check_order_keys(
         ));
         return;
     }
-    let mut seen: Vec<String> = Vec::with_capacity(keys.len());
+    let mut seen: Vec<&Expr> = Vec::with_capacity(keys.len());
     for k in keys {
         infer_expr(&k.expr, schema, node, diags);
         if matches!(k.expr, Expr::Lit(_)) {
@@ -625,15 +621,14 @@ fn check_order_keys(
                 format!("{what} key {:?} is constant: every row ties", k.expr),
             ));
         }
-        let text = format!("{:?}", k.expr);
-        if seen.contains(&text) {
+        if seen.contains(&&k.expr) {
             diags.push(node_diag(
                 Code::UnstableOrderKey,
                 node,
-                format!("{what} key {text} is duplicated"),
+                format!("{what} key {:?} is duplicated", k.expr),
             ));
         }
-        seen.push(text);
+        seen.push(&k.expr);
     }
 }
 
